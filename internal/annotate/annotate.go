@@ -191,23 +191,14 @@ type aspectCall struct {
 }
 
 // docContext bundles the per-document state shared by the four aspect
-// annotations: the rendered document, its segmentation, the numbered
-// whole-text prompt rendering (built once instead of once per fallback),
-// and the lazily-built token index backing the hallucination filter.
+// annotations: the document's segmentation, its numbered whole-text prompt
+// rendering (built once instead of once per fallback), and the lazily
+// filled token index behind the hallucination filter and the context
+// column.
 type docContext struct {
-	doc      *textify.Document
 	seg      *segment.Result
 	numbered string
-
-	tokensOnce sync.Once
-	tokens     *docIndex
-}
-
-// index returns the document token index, building it on first use (the
-// filter-off ablation never pays for it).
-func (dc *docContext) index() *docIndex {
-	dc.tokensOnce.Do(func() { dc.tokens = indexDocument(dc.doc) })
-	return dc.tokens
+	ix       *docIndex
 }
 
 // Annotate produces all annotations for one rendered, segmented policy.
@@ -220,7 +211,7 @@ func (dc *docContext) index() *docIndex {
 // in fixed aspect order, so the output is byte-identical to a sequential
 // run.
 func (an *Annotator) Annotate(ctx context.Context, doc *textify.Document, seg *segment.Result) (*Result, error) {
-	dc := &docContext{doc: doc, seg: seg, numbered: doc.NumberedText()}
+	dc := &docContext{seg: seg, numbered: doc.NumberedText(), ix: newDocIndex(doc)}
 	calls := []aspectCall{
 		{"types", dc, an.annotateTypes},
 		{"purposes", dc, an.annotatePurposes},
@@ -272,26 +263,19 @@ func (an *Annotator) sectionOrFallback(dc *docContext, a taxonomy.Aspect) (strin
 }
 
 // verifyMention implements the hallucination check: the extracted words
-// must be present (possibly discontinuously) on the referenced line, or
-// anywhere in the policy as a lenient second chance.
-func (an *Annotator) verifyMention(dc *docContext, line int, text string) bool {
+// (stemmed, pw) must be present (possibly discontinuously) on the
+// referenced line, or anywhere in the policy as a lenient second chance.
+func (an *Annotator) verifyMention(dc *docContext, line int, pw []string) bool {
 	if !an.verify {
 		return true
 	}
-	ix := dc.index()
-	pw := stemmedWords(text)
-	if ix.lineContains(line-1, pw) {
-		return true
-	}
-	return ix.anywhere(pw)
+	return dc.ix.lineContains(line-1, pw) || dc.ix.anywhere(pw)
 }
 
-// contextOf recovers the containing sentence for Table 6.
-func contextOf(doc *textify.Document, line int, text string) string {
-	if l, ok := doc.LineByNumber(line); ok {
-		return nlp.SentenceOf(l.Text, text)
-	}
-	return ""
+// contextOf recovers the sentence of the referenced line containing the
+// stemmed mention pw, for Table 6.
+func contextOf(dc *docContext, line int, pw []string) string {
+	return dc.ix.sentenceOf(line-1, pw)
 }
 
 // ------------------------------------------------------- types & purposes
@@ -347,18 +331,24 @@ func (an *Annotator) annotateNormalized(
 	}
 
 	// Hallucination filter, then collect unique surfaces for normalization.
-	var kept []chatbot.Extraction
+	// Each mention is stemmed once, for the filter and the context lookup.
+	type keptMention struct {
+		chatbot.Extraction
+		pw []string
+	}
+	var kept []keptMention
 	surfaceSet := map[string]bool{}
 	var surfaces []string
 	for _, e := range extractions {
 		if e.Text == "" {
 			continue
 		}
-		if !an.verifyMention(dc, e.Line, e.Text) {
+		pw := nlp.StemmedWords(e.Text)
+		if !an.verifyMention(dc, e.Line, pw) {
 			res.Dropped++
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, keptMention{e, pw})
 		key := nlp.NormalizeStemmed(e.Text)
 		if !surfaceSet[key] {
 			surfaceSet[key] = true
@@ -396,7 +386,7 @@ func (an *Annotator) annotateNormalized(
 			Descriptor: n.Descriptor,
 			Text:       e.Text,
 			Line:       e.Line,
-			Context:    contextOf(dc.doc, e.Line, e.Text),
+			Context:    contextOf(dc, e.Line, e.pw),
 			Novel:      !known[nlp.NormalizeStemmed(n.Descriptor)],
 		})
 	}
@@ -453,7 +443,8 @@ func (an *Annotator) annotateLabeled(
 			res.Dropped++
 			continue
 		}
-		if !an.verifyMention(dc, m.Line, m.Text) {
+		pw := nlp.StemmedWords(m.Text)
+		if !an.verifyMention(dc, m.Line, pw) {
 			res.Dropped++
 			continue
 		}
@@ -463,7 +454,7 @@ func (an *Annotator) annotateLabeled(
 			Category: m.Label,
 			Text:     m.Text,
 			Line:     m.Line,
-			Context:  contextOf(dc.doc, m.Line, m.Text),
+			Context:  contextOf(dc, m.Line, pw),
 		}
 		if m.Group == taxonomy.GroupRetention && m.Label == taxonomy.RetentionStated {
 			if p, ok := nlp.ParseRetention(m.Text); ok {

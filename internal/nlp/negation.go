@@ -122,15 +122,14 @@ func findIn(ws []string, phrase string) (int, int, bool) {
 // each sentence is tokenized into a reused scratch buffer — the per-call
 // behavior of ContainsWords without its per-sentence re-tokenization.
 func SentenceOf(text, phrase string) string {
-	pw := Words(phrase)
+	pw := StemmedWords(phrase)
 	if len(pw) == 0 {
 		return text
 	}
-	for i, w := range pw {
-		pw[i] = Singular(w)
-	}
+	var spans [16]Span
 	var scratch []string
-	for _, s := range Sentences(text) {
+	for _, sp := range AppendSentenceSpans(spans[:0], text) {
+		s := text[sp.Start:sp.End]
 		scratch = AppendWords(scratch[:0], s)
 		j := 0
 		for _, w := range scratch {

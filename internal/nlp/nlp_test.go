@@ -26,16 +26,38 @@ func TestWords(t *testing.T) {
 }
 
 func TestSentences(t *testing.T) {
-	in := "We collect data. For example, e.g. your name. Prices like 3.5 percent! Done?"
-	got := Sentences(in)
-	want := []string{
-		"We collect data.",
-		"For example, e.g. your name.",
-		"Prices like 3.5 percent!",
-		"Done?",
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"We collect data. For example, e.g. your name. Prices like 3.5 percent! Done?", []string{
+			"We collect data.",
+			"For example, e.g. your name.",
+			"Prices like 3.5 percent!",
+			"Done?",
+		}},
+		{"  Lead.\u00a0 ; trail  ", []string{"Lead.", ";", "trail"}},
+		{" \t ", nil},
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Sentences = %#v", got)
+	for _, c := range cases {
+		var got []string
+		for _, sp := range AppendSentenceSpans(nil, c.in) {
+			got = append(got, c.in[sp.Start:sp.End])
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("AppendSentenceSpans(%q) = %#v, want %#v", c.in, got, c.want)
+		}
+	}
+}
+
+func TestWordStarts(t *testing.T) {
+	in := "We collect your Email  Address’s."
+	toks, starts := AppendWordStarts(nil, nil, in)
+	if want := Words(in); !reflect.DeepEqual(toks, want) {
+		t.Errorf("AppendWordStarts tokens = %v, want %v", toks, want)
+	}
+	if want := []int{0, 3, 11, 16, 23}; !reflect.DeepEqual(starts, want) {
+		t.Errorf("AppendWordStarts starts = %v, want %v", starts, want)
 	}
 }
 

@@ -26,6 +26,20 @@ func Words(s string) []string {
 // token is known to need one. Callers indexing many lines reuse one
 // backing slice across calls instead of paying a fresh slice per line.
 func AppendWords(out []string, s string) []string {
+	out, _ = appendWords(out, nil, s, false)
+	return out
+}
+
+// AppendWordStarts is AppendWords that also appends, for each token, the
+// byte offset in s where it starts, so a caller holding the tokens of a
+// whole line can place them in its sentences (see AppendSentenceSpans).
+func AppendWordStarts(out []string, starts []int, s string) ([]string, []int) {
+	return appendWords(out, starts, s, true)
+}
+
+// appendWords is the one word scanner behind AppendWords and
+// AppendWordStarts; starts is appended to only when withStarts is set.
+func appendWords(out []string, starts []int, s string, withStarts bool) ([]string, []int) {
 	for i := 0; i < len(s); {
 		r, sz := decodeRuneAt(s, i)
 		if !isWordRune(r) {
@@ -62,8 +76,11 @@ func AppendWords(out []string, s string) []string {
 			tok = lowerToken(tok)
 		}
 		out = append(out, tok)
+		if withStarts {
+			starts = append(starts, start)
+		}
 	}
-	return out
+	return out, starts
 }
 
 // decodeRuneAt reads the rune starting at byte i, with a single-byte fast
@@ -97,11 +114,14 @@ func lowerToken(tok string) string {
 	return b.String()
 }
 
-// Sentences splits s into sentences on ., !, ? and ; boundaries, keeping
-// abbreviation-like splits (single capital letters, "e.g.", "i.e.") intact.
-// Sentences are returned as subslices of s — no per-sentence copies.
-func Sentences(s string) []string {
-	var out []string
+// Span is the half-open byte range [Start, End) of a string.
+type Span struct{ Start, End int }
+
+// AppendSentenceSpans splits s into sentences on ., !, ? and ; boundaries,
+// keeping abbreviation-like splits (single capital letters, "e.g.", "i.e.")
+// intact. It appends each sentence's byte range to out and returns it:
+// s[sp.Start:sp.End] is the sentence, trimmed of surrounding space.
+func AppendSentenceSpans(out []Span, s string) []Span {
 	start := 0
 	// The boundary characters are all ASCII, so a byte scan finds exactly
 	// the positions a rune scan would (UTF-8 continuation bytes are ≥ 0x80).
@@ -122,16 +142,22 @@ func Sentences(s string) []string {
 				continue
 			}
 		}
-		sent := strings.TrimSpace(s[start : i+1])
-		if sent != "" {
-			out = append(out, sent)
-		}
+		out = appendTrimmed(out, s, start, i+1)
 		start = i + 1
 	}
-	if rest := strings.TrimSpace(s[start:]); rest != "" {
-		out = append(out, rest)
+	return appendTrimmed(out, s, start, len(s))
+}
+
+// appendTrimmed appends s[start:end] with surrounding space trimmed, unless
+// nothing is left.
+func appendTrimmed(out []Span, s string, start, end int) []Span {
+	seg := strings.TrimLeftFunc(s[start:end], unicode.IsSpace)
+	start = end - len(seg)
+	seg = strings.TrimRightFunc(seg, unicode.IsSpace)
+	if seg == "" {
+		return out
 	}
-	return out
+	return append(out, Span{start, start + len(seg)})
 }
 
 // isDigitBefore reports whether the rune ending at byte i is a digit.
@@ -223,11 +249,17 @@ func NormalizeStemmed(s string) string {
 			return s
 		}
 	}
-	ws := Words(s)
+	return strings.Join(StemmedWords(s), " ")
+}
+
+// StemmedWords returns phrase's word tokens, each reduced by Singular —
+// the form both sides of ContainsWords and SentenceOf are compared in.
+func StemmedWords(phrase string) []string {
+	ws := Words(phrase)
 	for i, w := range ws {
 		ws[i] = Singular(w)
 	}
-	return strings.Join(ws, " ")
+	return ws
 }
 
 // ContainsWords reports whether every word of phrase appears (stemmed) in

@@ -78,6 +78,15 @@ func TestRegistryConcurrency(t *testing.T) {
 	h := reg.HistogramVec("h_seconds", "histogram", []float64{0.5, 1, 2}, "w")
 
 	const workers, perWorker = 8, 500
+	// Expose omits a labelled family with no series yet, so create every
+	// writer's series before the reader starts: each scrape can then
+	// assert the family unconditionally. Creating a series adds nothing
+	// to its value, so the final totals stay exact.
+	for w := 0; w < workers; w++ {
+		label := string(rune('a' + w))
+		c.With(label)
+		h.With(label)
+	}
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
 	reader.Add(1)

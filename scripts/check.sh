@@ -30,13 +30,13 @@ echo "aipanvet wall time: ${vet_secs}s (ceiling ${AIPAN_VET_TIME_CEILING}s)"
 echo "==> aipanvet negative fixtures (the gate must bite on seeded violations)"
 scripts/verify-negatives.sh
 
-echo "==> go test -race (engine, core, obs, server, store, api, dispatch)"
-go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/...
+echo "==> go test -race (engine, core, obs, server, store, api, dispatch, annotate)"
+go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/... ./internal/annotate/...
 
 echo "==> go test ./..."
 go test ./...
 
-echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=400000} allocs/op)"
+echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=300000} allocs/op)"
 # Wall-clock on this box swings ±15% run to run, so the gate pins the
 # allocation count instead: it is deterministic for a fixed workload and
 # regresses immediately if a hot-path buffer stops being reused.
