@@ -331,10 +331,12 @@ func (an *Annotator) annotateNormalized(
 	}
 
 	// Hallucination filter, then collect unique surfaces for normalization.
-	// Each mention is stemmed once, for the filter and the context lookup.
+	// Each mention is stemmed once, for the filter and the context lookup,
+	// and normalized once, for the surface dedup and the normalization join.
 	type keptMention struct {
 		chatbot.Extraction
-		pw []string
+		pw  []string
+		key string
 	}
 	var kept []keptMention
 	surfaceSet := map[string]bool{}
@@ -348,8 +350,8 @@ func (an *Annotator) annotateNormalized(
 			res.Dropped++
 			continue
 		}
-		kept = append(kept, keptMention{e, pw})
 		key := nlp.NormalizeStemmed(e.Text)
+		kept = append(kept, keptMention{e, pw, key})
 		if !surfaceSet[key] {
 			surfaceSet[key] = true
 			surfaces = append(surfaces, e.Text)
@@ -375,7 +377,7 @@ func (an *Annotator) annotateNormalized(
 	known := ix.KnownDescriptors()
 
 	for _, e := range kept {
-		n, ok := normOf[nlp.NormalizeStemmed(e.Text)]
+		n, ok := normOf[e.key]
 		if !ok || n.Category == "" || n.Meta == "" {
 			continue // unplaceable mention: discarded like the paper's junk rows
 		}

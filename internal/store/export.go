@@ -329,9 +329,9 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].shard < h[j].shard
 }
-func (h mergeHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)    { *h = append(*h, x.(mergeHead)) }
-func (h *mergeHeap) Pop() any      { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeHead)) }
+func (h *mergeHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // sortedScan streams the store's records in ascending domain order
 // with O(shards) memory: shards merge through a heap of their head

@@ -9,6 +9,14 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+echo "==> gofmt -l (every Go file outside testdata)"
+unformatted=$(find . \( -name testdata -o -name .bench_build -o -name .git \) -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "FAIL: gofmt would reformat:"
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -30,13 +38,21 @@ echo "aipanvet wall time: ${vet_secs}s (ceiling ${AIPAN_VET_TIME_CEILING}s)"
 echo "==> aipanvet negative fixtures (the gate must bite on seeded violations)"
 scripts/verify-negatives.sh
 
-echo "==> go test -race (engine, core, obs, server, store, api, dispatch, annotate)"
-go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/... ./internal/annotate/...
+echo "==> go test -race (engine, core, obs, server, store, api, dispatch, annotate, chatbot)"
+go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/... ./internal/annotate/... ./internal/chatbot/...
 
 echo "==> go test ./..."
 go test ./...
 
-echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=300000} allocs/op)"
+echo "==> fuzz smoke (FuzzParseReplies, FuzzDocIndex: 10s each)"
+# A short budget per trust-boundary target: the chatbot reply scanner
+# against its encoding/json reference, the annotator's token index
+# against its nlp reference. Any crasher lands in the package's
+# testdata/fuzz and fails the plain test run from then on.
+go test -run NONE -fuzz '^FuzzParseReplies$' -fuzztime 10s ./internal/chatbot/
+go test -run NONE -fuzz '^FuzzDocIndex$' -fuzztime 10s ./internal/annotate/
+
+echo "==> funnel allocation ceiling (BenchmarkFigure1PipelineFunnel <= ${AIPAN_FUNNEL_ALLOC_CEILING:=257000} allocs/op)"
 # Wall-clock on this box swings ±15% run to run, so the gate pins the
 # allocation count instead: it is deterministic for a fixed workload and
 # regresses immediately if a hot-path buffer stops being reused.
