@@ -506,23 +506,6 @@ func OpenEventLog(dir string, shards int) (*store.EventLog, error) {
 // the shard count.
 func OpenEventDir(dir string) (*store.EventLog, error) { return store.OpenEventDir(dir) }
 
-// NewDatasetServerFromRecords exposes an in-memory dataset over the
-// HTTP/JSON API.
-//
-// Deprecated: use NewDatasetServer(DatasetRecords(records)) — it
-// returns the configurable *DatasetServer instead of a bare handler.
-func NewDatasetServerFromRecords(records []Record) http.Handler {
-	return server.New(records)
-}
-
-// NewDatasetServerFromStore exposes a dataset held in any store backend
-// over the same HTTP/JSON API.
-//
-// Deprecated: use NewDatasetServer(DatasetFromStore(st)).
-func NewDatasetServerFromStore(st DatasetStore) (http.Handler, error) {
-	return server.NewFromStore(st)
-}
-
 // WriteAnnotationsCSV / WriteDomainsCSV export the dataset in the flat
 // spreadsheet-friendly forms a release ships next to the JSONL.
 func WriteAnnotationsCSV(path string, records []Record) error {

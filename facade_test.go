@@ -161,11 +161,8 @@ func TestDatasetServerFacade(t *testing.T) {
 		t.Error("summary response missing ETag")
 	}
 
-	// The deprecated record-slice constructor still serves, and the old
-	// unversioned paths redirect permanently onto /v1.
-	legacy := httptest.NewServer(aipan.NewDatasetServerFromRecords(records))
-	defer legacy.Close()
-	resp2, err := legacy.Client().Get(legacy.URL + "/api/summary")
+	// The old unversioned paths redirect permanently onto /v1.
+	resp2, err := srv.Client().Get(srv.URL + "/api/summary")
 	if err != nil {
 		t.Fatal(err)
 	}

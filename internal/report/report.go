@@ -8,10 +8,11 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
-	"aipan/internal/annotate"
 	"aipan/internal/nlp"
 	"aipan/internal/stats"
 	"aipan/internal/store"
@@ -19,7 +20,8 @@ import (
 	"aipan/internal/webgen"
 )
 
-// Report computes tables over a completed dataset.
+// Report computes tables over a completed dataset. Its tables may be
+// rendered concurrently.
 type Report struct {
 	Records []store.Record
 	// Gen supplies ground truth for validation; may be nil for datasets
@@ -29,6 +31,11 @@ type Report struct {
 	// annotated caches the records with ≥1 annotation (the paper's §5
 	// denominator: 2,529).
 	annotated []*store.Record
+
+	// rollup holds one aggregate per aspectOrder entry, built on first
+	// use by a single pass over annotated.
+	rollupOnce sync.Once
+	rollup     []*aggregate
 }
 
 // New builds a Report.
@@ -56,82 +63,147 @@ type descCount struct {
 	count int
 }
 
-// aggregate is the corpus-wide rollup for one aspect.
+// aggregate is the corpus-wide rollup for one aspect. An annotation
+// counts once per domain per (meta, category, descriptor).
 type aggregate struct {
-	aspect string
 	// total is the count of unique annotations across the corpus.
 	total int
-	// metaTotals / catTotals count unique annotations.
-	metaTotals map[string]int
-	catTotals  map[catKey]int
-	// descTotals ranks descriptors within each category.
-	descTotals map[catKey]map[string]int
-	// domainCats / domainMetaCats record, per record index, the unique
-	// descriptor count per category/meta for coverage and mean±SD.
-	perDomain []domainAgg
+	metas map[string]*cell
+	cats  map[catKey]*cell
+	// sectors, distinctCats and uniqueAnns are indexed like the
+	// annotated records: the record's sector, and its distinct
+	// categories and unique annotations in this aspect (for the §5
+	// distribution).
+	sectors      []string
+	distinctCats []int32
+	uniqueAnns   []int32
 }
 
-type domainAgg struct {
-	sector    string
-	byCat     map[catKey]int
-	byMeta    map[string]int
-	catCount  int // distinct categories mentioned (for §5 distribution)
-	descCount int // distinct descriptors mentioned
+// cell is the rollup of one meta-category or category.
+type cell struct {
+	// total counts unique annotations across the corpus.
+	total int
+	// perDomain[i] counts the unique annotations of annotated record i,
+	// for coverage and mean±SD; nil in emptyCell.
+	perDomain []int32
+	// descs ranks a category's descriptors; nil for a meta-category.
+	descs map[string]*descStat
+	// meta is a category's meta-category cell.
+	meta *cell
 }
 
-// aggregateAspect rolls up one aspect over the annotated records.
+// descStat counts one descriptor of a category. last is the index of
+// the last annotated record that counted it: a record's annotations are
+// added together, so a repeat within one record is a duplicate.
+type descStat struct{ count, last int }
+
+// emptyCell stands in for a meta-category or category with no
+// annotations.
+var emptyCell = &cell{}
+
+func newAggregate(sectors []string) *aggregate {
+	return &aggregate{
+		metas:        map[string]*cell{},
+		cats:         map[catKey]*cell{},
+		sectors:      sectors,
+		distinctCats: make([]int32, len(sectors)),
+		uniqueAnns:   make([]int32, len(sectors)),
+	}
+}
+
+func (a *aggregate) meta(name string) *cell {
+	if c, ok := a.metas[name]; ok {
+		return c
+	}
+	return emptyCell
+}
+
+func (a *aggregate) cat(key catKey) *cell {
+	if c, ok := a.cats[key]; ok {
+		return c
+	}
+	return emptyCell
+}
+
+// add counts the annotation (key, desc) of annotated record i, unless
+// record i already counted it.
+func (a *aggregate) add(i int, key catKey, desc string) {
+	c := a.cats[key]
+	if c == nil {
+		m := a.metas[key.meta]
+		if m == nil {
+			m = &cell{perDomain: make([]int32, len(a.sectors))}
+			a.metas[key.meta] = m
+		}
+		c = &cell{perDomain: make([]int32, len(a.sectors)), descs: map[string]*descStat{}, meta: m}
+		a.cats[key] = c
+	}
+	d := c.descs[desc]
+	if d == nil {
+		d = &descStat{last: -1}
+		c.descs[desc] = d
+	}
+	if d.last == i {
+		return
+	}
+	d.last = i
+	d.count++
+	a.total++
+	c.total++
+	c.meta.total++
+	c.meta.perDomain[i]++
+	if c.perDomain[i] == 0 {
+		a.distinctCats[i]++
+	}
+	c.perDomain[i]++
+	a.uniqueAnns[i]++
+}
+
+// aggregateAspect returns the rollup of one aspect; an aspect outside
+// aspectOrder gets an empty aggregate over the same domains.
 func (r *Report) aggregateAspect(aspect string) *aggregate {
-	a := &aggregate{
-		aspect:     aspect,
-		metaTotals: map[string]int{},
-		catTotals:  map[catKey]int{},
-		descTotals: map[catKey]map[string]int{},
+	r.rollupOnce.Do(r.buildRollup)
+	if i := slices.Index(aspectOrder, aspect); i >= 0 {
+		return r.rollup[i]
 	}
-	for _, rec := range r.annotated {
-		da := domainAgg{sector: rec.SectorAbbrev, byCat: map[catKey]int{}, byMeta: map[string]int{}}
-		seenDesc := map[string]bool{}
-		for _, ann := range rec.Annotations {
-			if ann.Aspect != aspect {
+	return newAggregate(r.rollup[0].sectors)
+}
+
+// buildRollup aggregates every aspect in one pass over the annotated
+// records.
+func (r *Report) buildRollup() {
+	sectors := make([]string, len(r.annotated))
+	for i, rec := range r.annotated {
+		sectors[i] = rec.SectorAbbrev
+	}
+	r.rollup = make([]*aggregate, len(aspectOrder))
+	for i := range r.rollup {
+		r.rollup[i] = newAggregate(sectors)
+	}
+	for i, rec := range r.annotated {
+		for j := range rec.Annotations {
+			ann := &rec.Annotations[j]
+			ai := slices.Index(aspectOrder, ann.Aspect)
+			if ai < 0 {
 				continue
 			}
-			key := catKey{ann.Meta, ann.Category}
-			dk := ann.Descriptor
-			if dk == "" {
-				dk = ann.Category // handling/rights count by label
+			desc := ann.Descriptor
+			if desc == "" {
+				desc = ann.Category // handling/rights count by label
 			}
-			uniq := key.meta + "|" + key.cat + "|" + dk
-			if seenDesc[uniq] {
-				continue
-			}
-			seenDesc[uniq] = true
-			a.total++
-			a.metaTotals[ann.Meta]++
-			a.catTotals[key]++
-			if a.descTotals[key] == nil {
-				a.descTotals[key] = map[string]int{}
-			}
-			a.descTotals[key][dk]++
-			da.byCat[key]++
-			da.byMeta[ann.Meta]++
+			r.rollup[ai].add(i, catKey{ann.Meta, ann.Category}, desc)
 		}
-		da.catCount = len(da.byCat)
-		for _, n := range da.byCat {
-			da.descCount += n
-		}
-		a.perDomain = append(a.perDomain, da)
 	}
-	return a
 }
 
 // topDescriptors returns the n most common descriptors in a category with
 // within-category percentages, ties broken alphabetically.
 func (a *aggregate) topDescriptors(key catKey, n int) []string {
-	m := a.descTotals[key]
 	var ds []descCount
 	total := 0
-	for d, c := range m {
-		ds = append(ds, descCount{d, c})
-		total += c
+	for d, s := range a.cat(key).descs {
+		ds = append(ds, descCount{d, s.count})
+		total += s.count
 	}
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].count != ds[j].count {
@@ -156,20 +228,22 @@ func (a *aggregate) topDescriptors(key catKey, n int) []string {
 // coverageOf computes coverage and the covered-domain descriptor counts
 // for a category (or meta-category when cat == "").
 func (a *aggregate) coverageOf(meta, cat string) (stats.Coverage, []float64, map[string]*stats.SectorStat) {
-	cov := stats.Coverage{Total: len(a.perDomain)}
+	col := a.meta(meta).perDomain
+	if cat != "" {
+		col = a.cat(catKey{meta, cat}).perDomain
+	}
+	cov := stats.Coverage{Total: len(a.sectors)}
 	var values []float64
 	sectors := map[string]*stats.SectorStat{}
-	for _, da := range a.perDomain {
+	for i, sector := range a.sectors {
 		n := 0
-		if cat == "" {
-			n = da.byMeta[meta]
-		} else {
-			n = da.byCat[catKey{meta, cat}]
+		if col != nil {
+			n = int(col[i])
 		}
-		ss, ok := sectors[da.sector]
+		ss, ok := sectors[sector]
 		if !ok {
-			ss = &stats.SectorStat{Sector: da.sector}
-			sectors[da.sector] = ss
+			ss = &stats.SectorStat{Sector: sector}
+			sectors[sector] = ss
 		}
 		ss.Coverage.Total++
 		if n > 0 {
@@ -234,20 +308,6 @@ func labelGroupsFor(aspect string) [][]taxonomy.Label {
 		return [][]taxonomy.Label{taxonomy.ChoiceLabels(), taxonomy.AccessLabels()}
 	}
 	return nil
-}
-
-// uniqueAnnotations flattens the per-domain deduped annotations of one
-// aspect (already unique per domain by construction).
-func (r *Report) uniqueAnnotations(aspect string) []annotate.Annotation {
-	var out []annotate.Annotation
-	for _, rec := range r.annotated {
-		for _, a := range rec.Annotations {
-			if a.Aspect == aspect {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }
 
 // metaOrderTypes preserves the paper's meta-category order.

@@ -37,10 +37,10 @@ func (r *Report) Table1(full bool) *stats.Table {
 			aspectCell = fmt.Sprintf("Types (%s)", renderCount(types.total))
 			first = false
 		}
-		metaCell := fmt.Sprintf("%s (%s)", meta, renderCount(types.metaTotals[meta]))
+		metaCell := fmt.Sprintf("%s (%s)", meta, renderCount(types.meta(meta).total))
 		cats := categoriesOfMeta(typeCats, meta)
 		sort.SliceStable(cats, func(i, j int) bool {
-			return types.catTotals[catKey{meta, cats[i].Name}] > types.catTotals[catKey{meta, cats[j].Name}]
+			return types.cat(catKey{meta, cats[i].Name}).total > types.cat(catKey{meta, cats[j].Name}).total
 		})
 		if catLimit > 0 && len(cats) > catLimit {
 			cats = cats[:catLimit]
@@ -56,7 +56,7 @@ func (r *Report) Table1(full bool) *stats.Table {
 				ac = ""
 			}
 			t.AddRow(ac, mc,
-				fmt.Sprintf("%s (%s)", c.Name, renderCount(types.catTotals[key])),
+				fmt.Sprintf("%s (%s)", c.Name, renderCount(types.cat(key).total)),
 				strings.Join(types.topDescriptors(key, 3), ", "))
 		}
 	}
@@ -71,7 +71,7 @@ func (r *Report) Table1(full bool) *stats.Table {
 			aspectCell = fmt.Sprintf("Purposes (%s)", renderCount(purposes.total))
 			first = false
 		}
-		metaCell := fmt.Sprintf("%s (%s)", meta, renderCount(purposes.metaTotals[meta]))
+		metaCell := fmt.Sprintf("%s (%s)", meta, renderCount(purposes.meta(meta).total))
 		cats := categoriesOfMeta(purposeCats, meta)
 		for i, c := range cats {
 			key := catKey{meta, c.Name}
@@ -80,7 +80,7 @@ func (r *Report) Table1(full bool) *stats.Table {
 				mc, ac = "", ""
 			}
 			t.AddRow(ac, mc,
-				fmt.Sprintf("%s (%s)", c.Name, renderCount(purposes.catTotals[key])),
+				fmt.Sprintf("%s (%s)", c.Name, renderCount(purposes.cat(key).total)),
 				strings.Join(purposes.topDescriptors(key, 3), ", "))
 		}
 	}
@@ -96,7 +96,7 @@ func (r *Report) Table1(full bool) *stats.Table {
 				aspectCell = fmt.Sprintf("%s (%s)", titleCase(aspect), renderCount(agg.total))
 				first = false
 			}
-			metaCell := fmt.Sprintf("%s (%s)", groupName, renderCount(agg.metaTotals[groupName]))
+			metaCell := fmt.Sprintf("%s (%s)", groupName, renderCount(agg.meta(groupName).total))
 			for i, l := range group {
 				key := catKey{groupName, l.Name}
 				mc, ac := metaCell, aspectCell
@@ -104,7 +104,7 @@ func (r *Report) Table1(full bool) *stats.Table {
 					mc, ac = "", ""
 				}
 				t.AddRow(ac, mc,
-					fmt.Sprintf("%s (%s)", l.Name, renderCount(agg.catTotals[key])),
+					fmt.Sprintf("%s (%s)", l.Name, renderCount(agg.cat(key).total)),
 					l.Desc)
 			}
 		}
@@ -199,21 +199,24 @@ func (r *Report) Table6(perAspect int) *stats.Table {
 		Headers: []string{"Aspect", "Category", "Descriptor", "Text", "Context"},
 	}
 	for _, aspect := range aspectOrder {
-		anns := r.uniqueAnnotations(aspect)
-		// Prefer diverse categories: walk annotations, taking the first
-		// example of each unseen category.
+		// Prefer diverse categories: walk the annotations in place,
+		// taking the first example of each unseen category.
 		seen := map[string]bool{}
 		count := 0
-		for _, a := range anns {
-			if count >= perAspect {
-				break
+	walk:
+		for _, rec := range r.annotated {
+			for i := range rec.Annotations {
+				if count >= perAspect {
+					break walk
+				}
+				a := &rec.Annotations[i]
+				if a.Aspect != aspect || seen[a.Category] || a.Context == "" {
+					continue
+				}
+				seen[a.Category] = true
+				count++
+				t.AddRow(aspect, a.Category, a.Descriptor, clip(a.Text, 48), clip(a.Context, 90))
 			}
-			if seen[a.Category] || a.Context == "" {
-				continue
-			}
-			seen[a.Category] = true
-			count++
-			t.AddRow(aspect, a.Category, a.Descriptor, clip(a.Text, 48), clip(a.Context, 90))
 		}
 	}
 	return t

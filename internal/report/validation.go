@@ -204,28 +204,28 @@ type Distribution struct {
 func (r *Report) CategoryDistribution() Distribution {
 	agg := r.aggregateAspect("types")
 	var d Distribution
-	n := len(agg.perDomain)
+	n := len(agg.sectors)
 	if n == 0 {
 		return d
 	}
 	var cdCats, cdDescs []float64
-	for _, da := range agg.perDomain {
-		switch {
-		case da.catCount >= 3:
+	for i, sector := range agg.sectors {
+		cats := agg.distinctCats[i]
+		if cats >= 3 {
 			d.AtLeast3Cats++
 		}
-		if da.catCount > 13 {
+		if cats > 13 {
 			d.Over13Cats++
 		}
-		if da.catCount > 22 {
+		if cats > 22 {
 			d.Over22Cats++
 		}
-		if da.catCount > 25 {
+		if cats > 25 {
 			d.Over25Cats++
 		}
-		if da.sector == "CD" {
-			cdCats = append(cdCats, float64(da.catCount))
-			cdDescs = append(cdDescs, float64(da.descCount))
+		if sector == "CD" {
+			cdCats = append(cdCats, float64(cats))
+			cdDescs = append(cdDescs, float64(agg.uniqueAnns[i]))
 		}
 	}
 	d.AtLeast3Cats /= float64(n)
@@ -378,49 +378,55 @@ func (r *Report) SampledPrecision(seed int64) []Precision {
 	sizes := map[string]int{"types": 340, "purposes": 175, "handling": 200, "rights": 220}
 	out := make([]Precision, 0, len(aspectOrder))
 	for _, aspect := range aspectOrder {
-		anns := r.uniqueAnnotations(aspect)
 		p := Precision{Aspect: aspect}
-		if r.Gen == nil || len(anns) == 0 {
+		total := 0
+		for _, rec := range r.annotated {
+			for i := range rec.Annotations {
+				if rec.Annotations[i].Aspect == aspect {
+					total++
+				}
+			}
+		}
+		if r.Gen == nil || total == 0 {
 			out = append(out, p)
 			continue
 		}
-		// Deterministic stride sampling.
+		// Deterministic stride sampling over the aspect's annotations in
+		// corpus order.
 		n := sizes[aspect]
-		if n > len(anns) {
-			n = len(anns)
+		if n > total {
+			n = total
 		}
-		stride := len(anns) / n
+		stride := total / n
 		if stride == 0 {
 			stride = 1
 		}
-		domainOf := r.annotationDomains(aspect)
-		for i := 0; i < len(anns) && p.Total < n; i += stride {
-			site := r.Gen.Site(domainOf[i])
-			if site == nil {
-				continue
-			}
-			ts := truthSets(site)
-			a := anns[i]
-			p.Total++
-			if ts.matches(a.Aspect, a.Meta, a.Category, a.Descriptor) {
-				p.Correct++
+		k := -1 // position among the aspect's annotations
+	walk:
+		for _, rec := range r.annotated {
+			for i := range rec.Annotations {
+				a := &rec.Annotations[i]
+				if a.Aspect != aspect {
+					continue
+				}
+				if k++; k%stride != 0 {
+					continue
+				}
+				if p.Total >= n {
+					break walk
+				}
+				site := r.Gen.Site(rec.Domain)
+				if site == nil {
+					continue
+				}
+				ts := truthSets(site)
+				p.Total++
+				if ts.matches(a.Aspect, a.Meta, a.Category, a.Descriptor) {
+					p.Correct++
+				}
 			}
 		}
 		out = append(out, p)
-	}
-	return out
-}
-
-// annotationDomains returns, for each annotation of uniqueAnnotations
-// order, its owning domain.
-func (r *Report) annotationDomains(aspect string) []string {
-	var out []string
-	for _, rec := range r.annotated {
-		for _, a := range rec.Annotations {
-			if a.Aspect == aspect {
-				out = append(out, rec.Domain)
-			}
-		}
 	}
 	return out
 }

@@ -1,14 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"aipan/internal/annotate"
 	"aipan/internal/obs"
+	"aipan/internal/russell"
 	"aipan/internal/store"
+	"aipan/internal/taxonomy"
 )
 
 // paperDatasetSize matches the corpus size in the source paper (2,892
@@ -112,6 +118,93 @@ func BenchmarkViewBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := buildView(recs, nil, uint64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// paperShapedRecords fabricates n deterministic records shaped like the
+// paper dataset: 11 sectors, about 7 in 8 annotated, and about 60
+// taxonomy-drawn annotations per annotated record over the four aspects,
+// with repeats inside a domain. It prices the table rollup at the size
+// it runs at, which makeRecords' one or two annotations per record do
+// not.
+func paperShapedRecords(seed int64, n int) []store.Record {
+	rng := rand.New(rand.NewSource(seed))
+	sectors := russell.Sectors()
+	var pools [4][]annotate.Annotation
+	for _, c := range taxonomy.TypeCategories() {
+		for _, d := range c.Descriptors {
+			pools[0] = append(pools[0], annotate.Annotation{Aspect: "types", Meta: c.Meta, Category: c.Name, Descriptor: d.Name})
+		}
+	}
+	for _, c := range taxonomy.PurposeCategories() {
+		for _, d := range c.Descriptors {
+			pools[1] = append(pools[1], annotate.Annotation{Aspect: "purposes", Meta: c.Meta, Category: c.Name, Descriptor: d.Name})
+		}
+	}
+	for i, labels := range [][]taxonomy.Label{
+		append(taxonomy.RetentionLabels(), taxonomy.ProtectionLabels()...),
+		append(taxonomy.ChoiceLabels(), taxonomy.AccessLabels()...),
+	} {
+		for _, l := range labels {
+			pools[2+i] = append(pools[2+i], annotate.Annotation{Aspect: []string{"handling", "rights"}[i], Meta: l.Group, Category: l.Name})
+		}
+	}
+	means := [4]int{35, 14, 7, 7}
+	recs := make([]store.Record, n)
+	for i := range recs {
+		rec := &recs[i]
+		sector := sectors[rng.Intn(len(sectors))]
+		rec.Domain = fmt.Sprintf("d%05d.example.com", i)
+		rec.Company = fmt.Sprintf("Company %05d", i)
+		rec.Sector, rec.SectorAbbrev = sector, russell.Abbrev(sector)
+		rec.Crawl.Success = rng.Intn(10) != 0
+		rec.Extraction.Success = rec.Crawl.Success && rng.Intn(25) != 0
+		if !rec.Extraction.Success {
+			continue
+		}
+		for p, pool := range pools {
+			for j := rng.Intn(2 * means[p]); j > 0; j-- {
+				a := pool[rng.Intn(len(pool))]
+				a.Text = a.Category
+				a.Context = fmt.Sprintf("We state practice %d in this sentence.", rng.Intn(1000))
+				rec.Annotations = append(rec.Annotations, a)
+			}
+		}
+	}
+	return recs
+}
+
+// BenchmarkServerRefresh prices the writer's cycle on a live server: four
+// records appended to a binary:16 store holding a paper-sized dataset,
+// then one Refresh (re-scan of the moved shards and a full view build).
+func BenchmarkServerRefresh(b *testing.B) {
+	st, err := store.OpenBinary(b.TempDir(), 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	recs := paperShapedRecords(1, paperDatasetSize+4*b.N)
+	for i := 0; i < paperDatasetSize; i++ {
+		if err := st.Append(&recs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s, err := NewServer(FromStore(st), WithRegistry(obs.NewRegistry()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := paperDatasetSize + 4*i; j < paperDatasetSize+4*(i+1); j++ {
+			if err := st.Append(&recs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Refresh(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -242,25 +242,6 @@ func NewServer(src Source, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// New builds the API over an in-memory dataset.
-//
-// Deprecated: use NewServer(Records(records), opts...).
-func New(records []store.Record, opts ...Option) *Server {
-	s, err := NewServer(Records(records), opts...)
-	if err != nil {
-		// Unreachable: an in-memory Source cannot fail to load.
-		panic(err)
-	}
-	return s
-}
-
-// NewFromStore builds the API over a dataset held in a store backend.
-//
-// Deprecated: use NewServer(FromStore(st), opts...).
-func NewFromStore(st store.Store, opts ...Option) (*Server, error) {
-	return NewServer(FromStore(st), opts...)
-}
-
 // Refresh re-Loads the Source and atomically swaps in a freshly
 // indexed view under the next generation. In-flight requests keep the
 // view they started with; the generation bump invalidates every cached

@@ -479,13 +479,18 @@ func TestNewFromStore(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructors keeps the pre-redesign constructors
-// compiling and serving.
+// TestDeprecatedConstructors checks that the two set-ups the removed
+// New and NewFromStore constructors covered — a record slice and an
+// in-memory store — still serve through NewServer.
 func TestDeprecatedConstructors(t *testing.T) {
-	srv := httptest.NewServer(New(testRecords(), WithRegistry(obs.NewRegistry())))
+	s, err := NewServer(Records(testRecords()), WithRegistry(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 	if status, _ := get(t, srv.URL+"/v1/summary"); status != 200 {
-		t.Errorf("New: summary status %d", status)
+		t.Errorf("Records: summary status %d", status)
 	}
 
 	st := store.NewMem()
@@ -495,14 +500,14 @@ func TestDeprecatedConstructors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := NewFromStore(st, WithRegistry(obs.NewRegistry()))
+	s2, err := NewServer(FromStore(st), WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(s)
+	srv2 := httptest.NewServer(s2)
 	defer srv2.Close()
 	if status, _ := get(t, srv2.URL+"/v1/summary"); status != 200 {
-		t.Errorf("NewFromStore: summary status %d", status)
+		t.Errorf("FromStore(mem): summary status %d", status)
 	}
 }
 

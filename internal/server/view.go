@@ -127,6 +127,19 @@ func buildView(records []store.Record, events []store.Event, gen uint64) (*view,
 			SectorCounts: map[string]int{},
 		},
 	}
+	// Filter keys repeat across records (a few dozen sectors, aspects
+	// and labels), so each distinct raw key is normalized once per build.
+	keys := map[string]string{}
+	norm := func(raw string) string {
+		k, ok := keys[raw]
+		if !ok {
+			k = normKey(raw)
+			keys[raw] = k
+		}
+		return k
+	}
+	seenAspect := map[string]bool{}
+	seenLabel := map[string]bool{}
 	for i := range recs {
 		rec := &recs[i]
 		v.all[i] = i
@@ -135,7 +148,8 @@ func buildView(records []store.Record, events []store.Event, gen uint64) (*view,
 			Domain: rec.Domain, Company: rec.Company, Sector: rec.SectorAbbrev,
 			Annotations: len(rec.Annotations), CrawlOK: rec.Crawl.Success,
 		})
-		v.bySector[normKey(rec.SectorAbbrev)] = append(v.bySector[normKey(rec.SectorAbbrev)], i)
+		sector := norm(rec.SectorAbbrev)
+		v.bySector[sector] = append(v.bySector[sector], i)
 		if rec.Crawl.Success {
 			v.summary.CrawlOK++
 		}
@@ -147,15 +161,15 @@ func buildView(records []store.Record, events []store.Event, gen uint64) (*view,
 		}
 		v.summary.SectorCounts[rec.SectorAbbrev]++
 		v.summary.Annotations += len(rec.Annotations)
-		seenAspect := map[string]bool{}
-		seenLabel := map[string]bool{}
+		clear(seenAspect)
+		clear(seenLabel)
 		for _, a := range rec.Annotations {
 			v.summary.ByAspect[a.Aspect]++
-			if k := normKey(a.Aspect); !seenAspect[k] {
+			if k := norm(a.Aspect); !seenAspect[k] {
 				seenAspect[k] = true
 				v.byAspect[k] = append(v.byAspect[k], i)
 			}
-			if k := normKey(a.Category); k != "" && !seenLabel[k] {
+			if k := norm(a.Category); k != "" && !seenLabel[k] {
 				seenLabel[k] = true
 				v.byLabel[k] = append(v.byLabel[k], i)
 			}
@@ -208,7 +222,8 @@ func buildView(records []store.Record, events []store.Event, gen uint64) (*view,
 	for i := range v.events {
 		e := &v.events[i]
 		v.eventsByDomain[e.Domain] = append(v.eventsByDomain[e.Domain], i)
-		v.eventsByOutcome[normKey(e.Outcome)] = append(v.eventsByOutcome[normKey(e.Outcome)], i)
+		outcome := norm(e.Outcome)
+		v.eventsByOutcome[outcome] = append(v.eventsByOutcome[outcome], i)
 	}
 	return v, nil
 }

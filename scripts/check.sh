@@ -38,8 +38,8 @@ echo "aipanvet wall time: ${vet_secs}s (ceiling ${AIPAN_VET_TIME_CEILING}s)"
 echo "==> aipanvet negative fixtures (the gate must bite on seeded violations)"
 scripts/verify-negatives.sh
 
-echo "==> go test -race (engine, core, obs, server, store, api, dispatch, annotate, chatbot)"
-go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/... ./internal/annotate/... ./internal/chatbot/...
+echo "==> go test -race (engine, core, obs, server, store, api, dispatch, annotate, chatbot, report)"
+go test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/api/... ./internal/dispatch/... ./internal/annotate/... ./internal/chatbot/... ./internal/report/...
 
 echo "==> go test ./..."
 go test ./...
